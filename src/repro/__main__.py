@@ -567,8 +567,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
     stop the listener and drain in-flight requests before exiting.
     """
     import asyncio
+    import gc
 
     from repro.server import ReproService, TreeStore, run_http_daemon, run_stdio_daemon
+    from repro.server.service import set_daemon_gc_policy
 
     if args.workers < 0:
         raise CLIError("--workers", f"must be >= 0, got {args.workers}")
@@ -604,6 +606,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
         collector=collector,
         op_timeout_s=args.request_timeout or None,
     )
+    # only now that the daemon is certain to start: the policy is
+    # process-wide, and an in-process caller gets its own back on return
+    gc_threshold = set_daemon_gc_policy()
     try:
         if args.stdio:
             asyncio.run(run_stdio_daemon(service))
@@ -632,6 +637,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     except KeyboardInterrupt:
         pass  # drain already handled by the signal path where available
     finally:
+        gc.set_threshold(*gc_threshold)
         obs.disable_tracing()
         obs.disable()
         obs.reset()

@@ -24,12 +24,16 @@ from .signature import SignatureRegistry
 from .tree import TNode, tnode_to_mtree
 
 
-def mnode_to_tnode(node: MNode, sigs: SignatureRegistry) -> TNode:
+def mnode_to_tnode(node: MNode, sigs: SignatureRegistry, *, validate: bool = True) -> TNode:
     """Rebuild an immutable tree from a (complete) mutable subtree.
 
     Raises :class:`PatchError` if the subtree contains empty slots — only
     closed trees have an immutable counterpart.  Iterative post-order, so
     arbitrarily deep patched trees rebuild without ``RecursionError``.
+
+    ``validate=False`` skips the per-node signature checks, for trees
+    :func:`repro.robustness.check_tree` has already passed (it checks
+    the same tags, link sets, literal types and kid sorts).
     """
     # pre frames carry (node, None); post frames (node, (sig, kid_links))
     stack: list[tuple[MNode, Optional[tuple]]] = [(node, None)]
@@ -58,16 +62,17 @@ def mnode_to_tnode(node: MNode, sigs: SignatureRegistry) -> TNode:
             else:
                 kids = []
             lits = [n.lits[link] for link in sig.lit_links]
-            results.append(TNode(sigs, sig, kids, lits, n.uri))
+            results.append(TNode(sigs, sig, kids, lits, n.uri, validate=validate))
     return results[0]
 
 
-def mtree_to_tnode(tree: MTree, sigs: SignatureRegistry) -> TNode:
-    """The immutable counterpart of the tree attached under the root."""
+def mtree_to_tnode(tree: MTree, sigs: SignatureRegistry, *, validate: bool = True) -> TNode:
+    """The immutable counterpart of the tree attached under the root
+    (options as for :func:`mnode_to_tnode`)."""
     main = tree.main
     if main is None:
         raise PatchError("the tree is empty")
-    return mnode_to_tnode(main, sigs)
+    return mnode_to_tnode(main, sigs, validate=validate)
 
 
 def apply_script(

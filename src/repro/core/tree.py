@@ -283,6 +283,27 @@ class TNode:
         self.assigned: Optional["TNode"] = None
         self.gen = 0
 
+    def _relabeled(self, uri: URI, kids: tuple["TNode", ...]) -> "TNode":
+        """A copy of this node under ``uri`` over ``kids``, which must be
+        relabeled copies of :attr:`kids`: URIs enter neither hash nor
+        height nor size, so the Step 1 values are copied, not recomputed.
+        Sets exactly the slots :meth:`__init__` sets (the lazy caches
+        stay unset, as on a fresh node)."""
+        c = object.__new__(TNode)
+        c.sigs = self.sigs
+        c.sig = self.sig
+        c.uri = uri
+        c.kids = kids
+        c.lits = self.lits
+        c.height = self.height
+        c.size = self.size
+        c.structure_hash = self.structure_hash
+        c.literal_hash = self.literal_hash
+        c.share = None
+        c.assigned = None
+        c.gen = 0
+        return c
+
     @staticmethod
     def _validate(
         sigs: SignatureRegistry,
@@ -454,6 +475,13 @@ class TNode:
         positions.  Fresh URIs for Load edits must start above
         ``start + size``.
 
+        URIs enter neither hash nor height nor size, so every node's
+        Step 1 values are copied rather than recomputed.  The copies are
+        the digests of the scheme the tree was *built* under — a
+        renumbering never re-hashes, whatever :func:`get_hash_scheme`
+        says at the time (rebuild via ``Grammar.parse_tuple`` to move a
+        tree to another scheme).
+
         Iterative: URIs are assigned at pre-visit (pre-order), nodes are
         rebuilt at post-visit.
         """
@@ -471,13 +499,11 @@ class TNode:
             else:
                 cnt = len(n.kids)
                 if cnt:
-                    kids = results[-cnt:]
+                    kids = tuple(results[-cnt:])
                     del results[-cnt:]
                 else:
-                    kids = []
-                results.append(
-                    TNode(n.sigs, n.sig, kids, n.lits, uri, validate=False)
-                )
+                    kids = ()
+                results.append(n._relabeled(uri, kids))
         return results[0]
 
     # -- traversal ------------------------------------------------------------

@@ -23,7 +23,8 @@ actually has: *is this a closed, well-formed tree at all?*  It checks
 :func:`check_tree` returns the violations as strings;
 :func:`verify_tree` raises :class:`IntegrityError` carrying them.
 Fingerprinting (:func:`tree_state`, :func:`tree_fingerprint`) gives the
-canonical content snapshot the rollback tests compare against.
+canonical content snapshot the rollback tests compare against;
+:func:`tnode_state` computes the same snapshot from an immutable tree.
 """
 
 from __future__ import annotations
@@ -34,9 +35,9 @@ from typing import Any, Optional
 from repro.observability import OBS, metrics as _metrics, span as _span
 
 from repro.core.mtree import MTree
-from repro.core.node import ROOT_LINK
+from repro.core.node import ROOT_LINK, ROOT_TAG
 from repro.core.signature import SignatureRegistry
-from repro.core.tree import literal_key
+from repro.core.tree import TNode, literal_key
 from repro.core.uris import ROOT_URI, URI
 
 
@@ -207,6 +208,39 @@ def tree_state(tree: MTree) -> tuple:
         entries.append((repr(uri), n.tag, kids, lits))
     entries.sort(key=lambda e: e[0])
     return tuple(entries)
+
+
+def tnode_state(tree: TNode) -> tuple:
+    """:func:`tree_state` of ``tnode_to_mtree(tree)``, read straight off
+    the immutable tree: no :class:`MTree` copy, and no lazily cached
+    accessors (``kid_items``, ``node``) filled on the nodes it visits.
+
+    The entries are built in the same pre-order as
+    :func:`~repro.core.tree.tnode_to_mtree` fills its index, so a URI
+    seen twice keeps its last entry there as here.
+    """
+    root = repr(ROOT_URI)
+    entries = {root: (root, ROOT_TAG, ((ROOT_LINK, repr(tree.uri)),), ())}
+    stack = [tree]
+    pop = stack.pop
+    extend = stack.extend
+    while stack:
+        n = pop()
+        sig = n.sig
+        key = repr(n.uri)
+        kids = n.kids
+        if kids:
+            links = (
+                sig.kid_links if sig.variadic is None else map(str, range(len(kids)))
+            )
+            kid_refs = tuple(zip(links, [repr(k.uri) for k in kids]))
+            extend(reversed(kids))
+        else:
+            kid_refs = ()
+        lits = n.lits
+        lit_keys = tuple(zip(sig.lit_links, map(literal_key, lits))) if lits else ()
+        entries[key] = (key, sig.tag, kid_refs, lit_keys)
+    return tuple([entries[key] for key in sorted(entries)])
 
 
 def tree_fingerprint(tree: MTree) -> str:

@@ -431,6 +431,8 @@ class DurableTreeStore(TreeStore):
         source: Optional[str],
         filename: str,
         fingerprint: Optional[str] = None,
+        *,
+        parsed: bool = False,
     ) -> tuple[StoredTree, bool]:
         with self._lock:
             if len(self._trees) >= self.max_trees:
@@ -443,7 +445,9 @@ class DurableTreeStore(TreeStore):
                 excess = len(self._trees) - self.max_trees + 1
                 for victim in list(self._trees.values())[:excess]:
                     self._write_snapshot(victim)
-            entry, cached = super()._insert(tree, source, filename, fingerprint)
+            entry, cached = super()._insert(
+                tree, source, filename, fingerprint, parsed=parsed
+            )
             if (
                 self._persist
                 and not cached
@@ -535,7 +539,7 @@ class DurableTreeStore(TreeStore):
             return None
         # no _persist dance needed: the fingerprint is in self._snapshots,
         # so the insert-side snapshot write is a no-op
-        entry, _ = self._insert(tree, source, filename, fp)
+        entry, _ = self._insert(tree, source, filename, fp, parsed=True)
         return entry
 
     def recovery_problem(self, message: str) -> None:

@@ -25,6 +25,7 @@ unknown fingerprints are ``not_found``, malformed requests are
 
 from __future__ import annotations
 
+import gc
 import json
 import threading
 import time
@@ -41,10 +42,30 @@ from repro.observability import (
 )
 
 from .pool import DiffPool, diff_trees
-from .store import StoredTree, StoreError, TreeStore, UnknownFingerprint
+from .store import StoredTree, StoreError, TreeStore, UnknownFingerprint, finish_patch
 
 #: Upper bound on scripts per ``/apply-batch`` request.
 MAX_BATCH_SCRIPTS = 64
+
+#: The gen-0 collector threshold ``repro serve`` runs with (CPython's
+#: default is 700).  Parsing, canonicalizing and rebuilding a tree
+#: allocate several container objects per node, and stored trees live
+#: as long as the daemon: at 700 a 5k-node upload triggers dozens of
+#: young collections and, through them, full collections that walk
+#: every stored tree.  See DESIGN.md "Server" for the measurements.
+DAEMON_GC_GEN0_THRESHOLD = 50_000
+
+
+def set_daemon_gc_policy() -> tuple[int, int, int]:
+    """Raise the gen-0 threshold to :data:`DAEMON_GC_GEN0_THRESHOLD`,
+    keeping the older generations' thresholds; returns the thresholds
+    it replaced.  Called by ``repro serve`` just before the daemon
+    starts; the library and the one-shot CLI keep the interpreter's
+    default collector."""
+    previous = gc.get_threshold()
+    gc.set_threshold(DAEMON_GC_GEN0_THRESHOLD, previous[1], previous[2])
+    return previous
+
 
 #: ServiceError codes -> HTTP status (the stdio front end ships the code).
 ERROR_STATUS = {
@@ -359,14 +380,18 @@ class ReproService:
                     mtree, statuses = parallel_run
             if statuses is None:
                 mtree, statuses = self._batch_sequential(base, renamed)
-            rebuilt, source, out_fp = self._batch_finish(mtree)
+            # wave 0 of the parallel path was composed without a whole-tree
+            # verify, so its rebuild keeps the per-node signature checks
+            rebuilt, source, out_fp = finish_patch(
+                mtree, base.tree.sigs, validate=mode == "parallel"
+            )
 
             oracle_out: Optional[dict[str, Any]] = None
             if oracle:
                 self._batch_count("oracle_checks")
                 if mode == "parallel":
                     seq_mtree, seq_statuses = self._batch_sequential(base, renamed)
-                    _, _, seq_fp = self._batch_finish(seq_mtree)
+                    _, _, seq_fp = finish_patch(seq_mtree, base.tree.sigs)
                 else:
                     seq_statuses, seq_fp = statuses, out_fp
                 verdicts = [(s["index"], s["status"]) for s in statuses]
@@ -528,20 +553,6 @@ class ReproService:
                     statuses[i] = self._status_applied(i, renamed[i])
         return mtree, statuses
 
-    @staticmethod
-    def _batch_finish(mtree) -> tuple[Any, str, str]:
-        """Rebuild the canonical tree from the patched scratch ``MTree``
-        exactly as :meth:`TreeStore.apply` does; returns
-        ``(tree, source, fingerprint)``."""
-        from repro.adapters.pyast import python_grammar, unparse_python
-
-        from .store import fingerprint_tree
-
-        g = python_grammar()
-        rebuilt = g.grammar.parse_tuple(mtree.to_tuple()).with_canonical_uris()
-        source = unparse_python(rebuilt)
-        return rebuilt, source, fingerprint_tree(rebuilt)
-
     def _op_lint(self, params: dict[str, Any]) -> dict[str, Any]:
         from repro.analysis import lint_script, render_json
 
@@ -593,6 +604,7 @@ class ReproService:
             "requests": self._requests,
             "errors": self._errors,
             "workers": self.pool.workers if self.pool is not None else 0,
+            "gc_threshold": list(gc.get_threshold()),
         }
         describe = getattr(self.store, "describe_recovery", None)
         if describe is not None:  # durable store: surface what the open found

@@ -577,6 +577,17 @@ class TestHTTPDaemon:
         client.diff_raw(fp_b, fp_a)
         assert parses() == baseline
 
+        # a byte-identical re-upload is answered without a parse
+        again = client.put_tree(BEFORE)
+        assert again["cached"] and again["fingerprint"] == fp_b
+        assert parses() == baseline
+
+        # a reformatted re-upload parses once to find its (stored) tree
+        reformatted = BEFORE + "\n\n# reformatted\n"
+        again = client.put_tree(reformatted)
+        assert again["cached"] and again["fingerprint"] == fp_b
+        assert parses() == baseline + 1
+
 
 def test_graceful_shutdown_drains() -> None:
     service = ReproService()
@@ -657,6 +668,52 @@ class TestStdioDaemon:
         assert responses == [
             {"id": 1, "ok": True, "result": {"draining": True}}
         ]
+
+
+# -- collector policy ------------------------------------------------------
+
+
+def test_only_the_daemon_raises_the_gen0_threshold():
+    import gc
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    from repro.server.service import DAEMON_GC_GEN0_THRESHOLD
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def run(*argv: str, stdin: str = "") -> subprocess.CompletedProcess:
+        return subprocess.run(
+            [sys.executable, *argv],
+            input=stdin,
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+
+    # fresh interpreters: importing the library and the CLI keeps the default
+    probe = "import gc, json{}; print(json.dumps(gc.get_threshold()))"
+    default = json.loads(run("-c", probe.format("")).stdout)
+    imported = run("-c", probe.format(", repro.__main__, repro.server"))
+    assert imported.returncode == 0, imported.stderr
+    assert json.loads(imported.stdout) == default
+    proc = run("-m", "repro", "serve", "--stdio", stdin=json.dumps({"id": 1, "op": "health"}) + "\n")
+    assert proc.returncode == 0, proc.stderr
+    health = json.loads(proc.stdout.splitlines()[0])["result"]
+    assert health["gc_threshold"] == [DAEMON_GC_GEN0_THRESHOLD, *default[1:]]
+
+
+def test_refused_serve_leaves_the_collector_alone():
+    import gc
+
+    before = gc.get_threshold()
+    assert main(["serve", "--stdio", "--sample", "1/0"]) == 2
+    assert main(["serve", "--workers", "-1"]) == 2
+    assert gc.get_threshold() == before
 
 
 # -- CLI client mode -------------------------------------------------------
